@@ -356,24 +356,48 @@ let ablation_termination budgets =
       ("pointwise", `Pointwise);
     ]
 
+(* Rows on both sides of [`Auto]'s choice: filter targets are
+   input-free (composition only under a |z|-linear probe); network, FIFO
+   and ABP targets read inputs (composition first). *)
 let ablation_image budgets =
   head "=== Ablation: BackImage via composition vs relational product ===";
+  Format.printf "  %-16s %-30s %-30s %s@." "" "auto" "compose" "relational";
+  let cell (r : Mc.Report.t) =
+    let status =
+      match r.Mc.Report.status with
+      | Mc.Report.Proved -> "proved"
+      | Mc.Report.Violated _ -> "violated"
+      | Mc.Report.Exceeded _ -> "EXCEEDED"
+    in
+    Printf.sprintf "%7.2fs %10d %-10s" r.Mc.Report.time_s
+      r.Mc.Report.nodes_created status
+  in
+  let bkwd model image_via =
+    Mc.Backward.run ~limits:(limits_of budgets) ~image_via (model ())
+  in
+  let xici model image_via =
+    Mc.Xici.run ~limits:(limits_of budgets) ~image_via (model ())
+  in
+  let network procs () =
+    Models.Network.make { Models.Network.procs; bug = false }
+  in
   List.iter
-    (fun (name, via) ->
-      List.iter
-        (fun (mname, model) ->
-          let r =
-            Mc.Backward.run ~limits:(limits_of budgets) ~image_via:via
-              (model ())
-          in
-          Format.printf "  %-10s %a   [%s]@.%!" name Mc.Report.pp_row r mname)
-        [
-          ( "network-4",
-            fun () ->
-              Models.Network.make { Models.Network.procs = 4; bug = false } );
-          ("filter-8a", fun () -> filter_model 8 true);
-        ])
-    [ ("auto", `Auto); ("compose", `Compose); ("relational", `Relational) ]
+    (fun (name, run) ->
+      let cells =
+        List.map (fun via -> cell (run via)) [ `Auto; `Compose; `Relational ]
+      in
+      Format.printf "  %-16s %s@.%!" name (String.concat " " cells))
+    [
+      ("Bkwd network-4", bkwd (network 4));
+      ("Bkwd network-6", bkwd (network 6));
+      ("Bkwd filter-8a", bkwd (fun () -> filter_model 8 true));
+      ( "Bkwd fifo-5",
+        bkwd (fun () -> Models.Typed_fifo.make Models.Typed_fifo.default) );
+      ("XICI filter-16", xici (fun () -> filter_model 16 false));
+      ( "XICI abp-8",
+        xici (fun () -> Models.Abp.make { Models.Abp.width = 8; bug = false })
+      );
+    ]
 
 let ablation_pairbound budgets =
   head

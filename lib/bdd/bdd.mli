@@ -95,7 +95,8 @@ val band_bounded : man -> max_steps:int -> t -> t -> t option
 (** Conjunction with a recursion-step budget; [None] when the budget is
     exhausted.  Implements the paper's future-work "abort the operation
     if the size exceeds a specified bound" capability, used by the
-    greedy evaluation policy to skip hopeless pairwise conjunctions. *)
+    greedy evaluation policy to skip hopeless pairwise conjunctions.
+    Its steps count towards {!steps} and enclosing budgets. *)
 
 val implies : man -> t -> t -> bool
 (** [implies man f g] decides f => g. *)
@@ -238,21 +239,26 @@ val set_fault_hook : man -> (man -> unit) option -> unit
     blowups. *)
 
 exception Node_budget_exhausted
-(** Raised by the {!with_node_budget} guard hook (and catchable by
-    resilient drivers when a fault-injection hook raises it outside any
-    budget region). *)
+(** Raised by the {!with_node_budget} guard (and catchable by resilient
+    drivers when a fault-injection hook raises it outside any budget
+    region). *)
 
 val with_node_budget :
-  ?max_steps:int -> man -> max_new_nodes:int -> (unit -> 'a) -> 'a option
-(** Run a computation that is abandoned ([None]) once it has created
-    more than [max_new_nodes] nodes or run more than [max_steps]
-    non-cached recursion steps (sampled at the progress-hook cadence;
-    enclosing hooks keep running).  Used to race alternative
-    image-computation strategies. *)
+  ?max_steps:int -> ?max_new_nodes:int -> man -> (unit -> 'a) -> 'a option
+(** Run a computation that is abandoned ([None]) once it has run more
+    than [max_steps] non-cached recursion steps or created more than
+    [max_new_nodes] nodes (both default unbounded).  The step budget is
+    exact: [~max_steps:n] aborts on step n+1.  The node budget is
+    checked at the progress-hook cadence.  Enclosing progress and fault
+    hooks keep running inside the region, and an enclosing budget's
+    exhaustion propagates out of it.  Used to bound the composition
+    probe of the backward image. *)
 
 val steps : man -> int
 (** Monotone count of non-cached recursion steps across all operations
-    (a machine-independent work measure). *)
+    (a machine-independent work measure).  Every memo-cache miss of
+    every operator is one step, so this equals the summed misses of
+    {!cache_stats}. *)
 
 (** {1 Enumeration} *)
 

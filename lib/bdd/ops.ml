@@ -59,10 +59,12 @@ exception Step_budget_exhausted
    greedy evaluation policy uses it to skip hopeless pairwise
    conjunctions.  Results live under their own op tag ([op_band]) so
    completed sub-results are shared across calls; hits and misses are
-   accounted to the "ite" statistic it conceptually belongs to. *)
+   accounted to the "ite" statistic it conceptually belongs to.  Its
+   steps tick the manager like any other operator's, so enclosing
+   budgets, deadlines and cancellation reach it too. *)
 let band_bounded man ~max_steps f g =
   let cache = man.Man.computed in
-  let steps = ref 0 in
+  let start = man.Man.steps in
   let rec go f g =
     if is_false f || is_false g then fls
     else if is_true f then g
@@ -79,8 +81,8 @@ let band_bounded man ~max_steps f g =
       end
       else begin
         Man.miss man.Man.stat_ite;
-        incr steps;
-        if !steps > max_steps then raise Step_budget_exhausted;
+        Man.tick man;
+        if man.Man.steps - start > max_steps then raise Step_budget_exhausted;
         let v = min (level f) (level g) in
         let f0, f1 = cofactors f v in
         let g0, g1 = cofactors g v in

@@ -24,6 +24,7 @@ let rename man perm f =
       end
       else begin
         Man.miss man.Man.stat_rename;
+        Man.tick man;
         let v = level f in
         let v' = map v in
         if v' <= bound then raise Not_monotone;

@@ -61,7 +61,8 @@ let rec restrict man f c =
 
    Keys are variable-length ((tag f, [tags of cs])), so this memoises
    through a per-call Hashtbl rather than the fixed-arity computed
-   table; the call is not on the inner verification loop. *)
+   table; the call is not on the inner verification loop.  Its hits
+   and misses are accounted to the "restrict" statistic. *)
 let multi_restrict man f cs =
   let cs = List.filter (fun c -> not (is_true c)) cs in
   if List.exists is_false cs then
@@ -78,8 +79,11 @@ let multi_restrict man f cs =
     else begin
       let key = (tag f, List.map tag cs) in
       match Hashtbl.find_opt memo key with
-      | Some r -> r
+      | Some r ->
+        Man.hit man.Man.stat_restrict;
+        r
       | None ->
+        Man.miss man.Man.stat_restrict;
         Man.tick man;
         let lf = level f in
         let lc = List.fold_left (fun acc c -> min acc (level c)) max_int cs in

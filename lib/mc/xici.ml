@@ -31,7 +31,7 @@ let lists_pointwise_equal a b =
    run uses the policy that produced the snapshot. *)
 let run_full ?(limits = fun man -> Limits.unlimited man) ?cfg ?termination
     ?(var_choice = Ici.Tautology.First_top) ?tautology_stats ?evaluator
-    ?checkpoint_path ?(checkpoint_every = 1) ?resume_from model =
+    ?image_via ?checkpoint_path ?(checkpoint_every = 1) ?resume_from model =
   let cfg =
     match (cfg, resume_from) with
     | Some c, _ -> c
@@ -125,7 +125,8 @@ let run_full ?(limits = fun man -> Limits.unlimited man) ?cfg ?termination
           incr iterations;
           let back =
             Obs.Tracer.with_span tracer ~cat:"mc" "xici.back_image"
-              (fun () -> List.map (Fsm.Trans.back_image trans) l)
+              (fun () ->
+                List.map (Fsm.Trans.back_image ?via:image_via trans) l)
           in
           let l' = improve (l0 @ back) in
           if Ici.Clist.is_false l' then begin
@@ -181,7 +182,8 @@ let run_full ?(limits = fun man -> Limits.unlimited man) ?cfg ?termination
     with Limits.Exceeded why -> (finish (Report.Exceeded why), None))
 
 let run ?limits ?cfg ?termination ?var_choice ?tautology_stats ?evaluator
-    ?checkpoint_path ?checkpoint_every ?resume_from model =
+    ?image_via ?checkpoint_path ?checkpoint_every ?resume_from model =
   fst
     (run_full ?limits ?cfg ?termination ?var_choice ?tautology_stats
-       ?evaluator ?checkpoint_path ?checkpoint_every ?resume_from model)
+       ?evaluator ?image_via ?checkpoint_path ?checkpoint_every ?resume_from
+       model)

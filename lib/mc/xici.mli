@@ -7,7 +7,8 @@
     (current implicit conjunction, G history, iteration count, policy)
     is snapshotted every [checkpoint_every] iterations (default 1) via
     {!Checkpoint}, at the top of the iteration -- so a run killed by a
-    budget loses at most the iteration in flight.  With [resume_from]
+    budget loses at most the iteration in flight.  [image_via] selects
+    the back-image strategy (default [`Auto]).  With [resume_from]
     the traversal restarts from the snapshot instead of from G_0; [cfg]
     and [termination] then default to the checkpointed values. *)
 
@@ -20,6 +21,7 @@ val run :
   ?var_choice:Ici.Tautology.var_choice ->
   ?tautology_stats:Ici.Tautology.stats ->
   ?evaluator:Ici.Policy.evaluator ->
+  ?image_via:Fsm.Trans.image_via ->
   ?checkpoint_path:string ->
   ?checkpoint_every:int ->
   ?resume_from:Checkpoint.t ->
@@ -33,6 +35,7 @@ val run_full :
   ?var_choice:Ici.Tautology.var_choice ->
   ?tautology_stats:Ici.Tautology.stats ->
   ?evaluator:Ici.Policy.evaluator ->
+  ?image_via:Fsm.Trans.image_via ->
   ?checkpoint_path:string ->
   ?checkpoint_every:int ->
   ?resume_from:Checkpoint.t ->

@@ -296,17 +296,21 @@ let test_fault_hook () =
   Alcotest.(check bool) "clean after hook removal" true
     (Bdd.size (conj ()) = 9)
 
-let test_node_budget_nesting () =
-  (* An enclosing progress hook must keep running inside a
-     [with_node_budget] region and be restored after the region aborts. *)
+(* Two 6-variable parities over disjoint halves of a fresh 12-variable
+   manager: their conjunction takes a few dozen uncached steps. *)
+let two_parities () =
   let man, vars = Testutil.fresh_man 12 in
   let xor_of lvls =
     Array.fold_left
       (fun acc l -> Bdd.bxor man acc (Bdd.var man l))
       (Bdd.fls man) lvls
   in
-  let f = xor_of (Array.sub vars 0 6) in
-  let g = xor_of (Array.sub vars 6 6) in
+  (man, xor_of (Array.sub vars 0 6), xor_of (Array.sub vars 6 6))
+
+let test_node_budget_nesting () =
+  (* An enclosing progress hook must keep running inside a
+     [with_node_budget] region and be restored after the region aborts. *)
+  let man, f, g = two_parities () in
   (* Clearing memo caches each pass forces real recursion steps on a
      recomputation, so the 64K-step progress cadence is reached. *)
   let churn target =
@@ -322,8 +326,9 @@ let test_node_budget_nesting () =
   let outer (_ : Bdd.man) = incr fired in
   Bdd.set_progress_hook man (Some outer);
   let inner =
-    Bdd.with_node_budget man ~max_steps:1 ~max_new_nodes:max_int (fun () ->
-        churn 200_000)
+    (* Budgets are exact, so the region must outlast the 64K progress
+       cadence for the enclosing hook to get a turn inside it. *)
+    Bdd.with_node_budget man ~max_steps:150_000 (fun () -> churn 200_000)
   in
   Alcotest.(check bool) "inner budget aborted" true (inner = None);
   Alcotest.(check bool) "enclosing hook ran inside the region" true
@@ -338,6 +343,50 @@ let test_node_budget_nesting () =
   Alcotest.(check bool) "enclosing hook still fires after abort" true
     (!fired > before);
   Bdd.set_progress_hook man None
+
+let test_step_budget_exact () =
+  (* [~max_steps:n] aborts on step n+1, and a computation of exactly n
+     steps completes under it. *)
+  let man, f, g = two_parities () in
+  let run max_steps =
+    Bdd.clear_caches man;
+    let start = Bdd.steps man in
+    let r = Bdd.with_node_budget man ~max_steps (fun () -> Bdd.band man f g) in
+    (r, Bdd.steps man - start)
+  in
+  let _, needed = run max_int in
+  Alcotest.(check bool) "workload takes many steps" true (needed > 10);
+  List.iter
+    (fun n ->
+      let r, taken = run n in
+      Alcotest.(check bool) (Printf.sprintf "max_steps:%d aborts" n) true
+        (r = None);
+      Alcotest.(check int) (Printf.sprintf "max_steps:%d stops at n+1" n)
+        (n + 1) taken)
+    [ 0; 1; 7; needed - 1 ];
+  let r, taken = run needed in
+  Alcotest.(check bool) "exact budget suffices" true (r <> None);
+  Alcotest.(check int) "no extra steps" needed taken;
+  (* The limit is lifted once the region ends. *)
+  Bdd.clear_caches man;
+  ignore (Bdd.band man f g)
+
+let test_step_budget_nesting () =
+  (* An enclosing budget that runs out inside an inner region is not
+     swallowed by the inner one. *)
+  let man, f, g = two_parities () in
+  Bdd.clear_caches man;
+  let inner_result = ref `Unset in
+  let outer =
+    Bdd.with_node_budget man ~max_steps:5 (fun () ->
+        inner_result :=
+          `Set
+            (Bdd.with_node_budget man ~max_steps:1_000 (fun () ->
+                 Bdd.band man f g)))
+  in
+  Alcotest.(check bool) "outer region aborted" true (outer = None);
+  Alcotest.(check bool) "inner region did not report the abort" true
+    (!inner_result = `Unset)
 
 let test_cubes_unit () =
   let man, vars = Testutil.fresh_man 3 in
@@ -913,6 +962,37 @@ let prop_implies (a, b) =
   in
   Bdd.implies man f g = expect
 
+let prop_steps_count_misses (a, b) =
+  (* Every memo-cache miss of every operator is one [Bdd.steps] step. *)
+  let man, all = Testutil.fresh_man (2 * nvars) in
+  let vars = Array.sub all 0 nvars in
+  let f = Testutil.build_bdd man vars a in
+  let g = Testutil.build_bdd man vars b in
+  let misses () =
+    List.fold_left (fun acc (_, _, m) -> acc + m) 0 (Bdd.cache_stats man)
+  in
+  let steps0 = Bdd.steps man and misses0 = misses () in
+  let vs = Bdd.varset man [ vars.(0); vars.(2) ] in
+  let care = if Bdd.is_false g then Bdd.tru man else g in
+  let shift =
+    Array.init (2 * nvars) (fun l -> if l < nvars then l + nvars else l)
+  in
+  let subst = Array.make nvars None in
+  subst.(vars.(1)) <- Some g;
+  subst.(vars.(3)) <- Some (Bdd.bnot man f);
+  ignore (Bdd.bxor man f g);
+  ignore (Bdd.band_bounded man ~max_steps:2 f (Bdd.bnot man g));
+  ignore (Bdd.band_bounded man ~max_steps:max_int f g);
+  ignore (Bdd.exists man vs f);
+  ignore (Bdd.and_exists man vs f g);
+  ignore (Bdd.restrict man f care);
+  ignore (Bdd.constrain man f care);
+  ignore (Bdd.multi_restrict man f [ care; Bdd.bor man care f ]);
+  ignore (Bdd.cofactor man ~lvl:vars.(1) ~value:false f);
+  ignore (Bdd.vector_compose man subst f);
+  ignore (Bdd.rename man shift f);
+  Bdd.steps man - steps0 = misses () - misses0
+
 let () =
   Alcotest.run "bdd"
     [
@@ -947,6 +1027,10 @@ let () =
             test_fault_hook;
           Alcotest.test_case "node budget nests" `Quick
             test_node_budget_nesting;
+          Alcotest.test_case "step budget is exact" `Quick
+            test_step_budget_exact;
+          Alcotest.test_case "step budget exhaustion propagates outward"
+            `Quick test_step_budget_nesting;
           Alcotest.test_case "cube counting" `Quick test_cubes_unit;
           Alcotest.test_case "reorder finds interleaving" `Quick
             test_reorder_interleaves;
@@ -986,6 +1070,7 @@ let () =
           qtest "support = dependent vars" prop_support;
           qtest2 "compose substitution" prop_compose;
           qtest2 "implies decision" prop_implies;
+          qtest2 "steps equal summed cache misses" prop_steps_count_misses;
           qtest "minterm enumeration" prop_minterms;
           qtest ~count:150 "transfer preserves semantics" prop_transfer_semantics;
           qtest ~count:150 "serialization semantics" prop_serialize;

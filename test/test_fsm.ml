@@ -119,14 +119,15 @@ let prop_back_image spec =
   decode man bits back = expect
 
 let prop_image_methods_agree spec =
-  (* The compose-based and relational backward images must coincide. *)
+  (* The compose-based, relational and auto-chosen backward images must
+     coincide. *)
   let _, _, _, trans, target, _ = build spec in
-  Bdd.equal
-    (Fsm.Trans.pre_image ~via:`Compose trans target)
-    (Fsm.Trans.pre_image ~via:`Relational trans target)
-  && Bdd.equal
-       (Fsm.Trans.back_image ~via:`Compose trans target)
-       (Fsm.Trans.back_image ~via:`Relational trans target)
+  let agree image =
+    let expect = image `Relational in
+    List.for_all (fun via -> Bdd.equal (image via) expect) [ `Compose; `Auto ]
+  in
+  agree (fun via -> Fsm.Trans.pre_image ~via trans target)
+  && agree (fun via -> Fsm.Trans.back_image ~via trans target)
 
 let prop_back_image_theorem1 spec =
   (* Theorem 1: BackImage distributes over conjunction. *)
