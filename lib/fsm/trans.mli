@@ -28,10 +28,19 @@ val assigns : t -> (Space.bit * Bdd.t) list
     machine in another manager). *)
 
 val image : ?extra:Bdd.t list -> t -> Bdd.t -> Bdd.t
-(** States reachable in one transition from [z].  [extra] conjoins
-    further constraints on the source states into the quantification
-    schedule without materialising the conjunction (used by the
-    functional-dependency method). *)
+(** States reachable in one transition from [z].  The per-bit
+    conjuncts are grouped into clusters of at most a few hundred nodes
+    each, in schedule order, and every level is quantified right after
+    the last cluster mentioning it.  The clusters and that schedule are
+    built on the first call and kept in [t] for later calls.  [extra]
+    conjoins further constraints on the source states into the
+    quantification schedule, ahead of the clusters, without
+    materialising the conjunction (used by the functional-dependency
+    method). *)
+
+val image_clusters : t -> int
+(** Number of clusters [image] conjoins per call (builds them if no
+    image has yet). *)
 
 type image_via = [ `Auto | `Compose | `Relational ]
 (** Backward-image computation method: substitute the next-state

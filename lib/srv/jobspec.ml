@@ -164,6 +164,33 @@ let field_int_opt name json =
     | Some i -> Ok (Some i)
     | None -> Error (Printf.sprintf "field %S must be an integer" name))
 
+(* Each family's own precondition on its parameters, checked here so a
+   bad job is rejected with the field's name instead of reaching the
+   model builder's assertion.  Unknown families fail in [build]. *)
+let check_ranges (m : model_spec) =
+  let need ok name v what =
+    if ok then Ok ()
+    else Error (Printf.sprintf "field %S must be %s, got %d" name what v)
+  in
+  let at_least n name v =
+    need (v >= n) name v (Printf.sprintf "at least %d" n)
+  in
+  match String.lowercase_ascii m.family with
+  | "fifo" ->
+    let* () = at_least 1 "depth" m.depth in
+    at_least 1 "width" m.width
+  | "network" ->
+    need (m.procs >= 1 && m.procs <= 15) "procs" m.procs "from 1 to 15"
+  | "cpu" ->
+    let* () = at_least 2 "regs" m.regs in
+    at_least 1 "width" m.width
+  | "abp" -> at_least 1 "width" m.width
+  | "filter" ->
+    need
+      (m.depth >= 2 && m.depth land (m.depth - 1) = 0)
+      "depth" m.depth "a power of two, at least 2"
+  | _ -> Ok ()
+
 let model_of_json json =
   let* family = field_str "family" json in
   let d = default_model in
@@ -174,7 +201,9 @@ let model_of_json json =
   let* bound = field_int ~default:d.bound "bound" json in
   let* assisted = field_bool ~default:d.assisted "assisted" json in
   let* bug = field_bool ~default:d.bug "bug" json in
-  Ok { family; depth; width; procs; regs; bound; assisted; bug }
+  let m = { family; depth; width; procs; regs; bound; assisted; bug } in
+  let* () = check_ranges m in
+  Ok m
 
 let fault_of_json json =
   let* after_steps = field_int_opt "after_steps" json in

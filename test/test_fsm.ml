@@ -256,6 +256,133 @@ let test_cur_next_adjacent () =
   let b = Fsm.Space.state_bit sp in
   Alcotest.(check int) "next level adjacent to cur" (b.cur + 1) b.next
 
+(* --- clustered images on real models: each of these splits its
+   per-bit conjuncts into several clusters, so the cached schedule is
+   exercised across cluster boundaries. *)
+
+let cluster_models () =
+  [
+    ("fifo-5", Models.Typed_fifo.make Models.Typed_fifo.default);
+    ("network-3", Models.Network.make { Models.Network.procs = 3; bug = false });
+    (* 4-bit samples keep the monolithic reference relation cheap. *)
+    ( "filter-4",
+      Models.Avg_filter.make
+        { Models.Avg_filter.default with sample_width = 4 } );
+  ]
+
+(* A random state set: a union of random partial cubes over the
+   current-state levels, joined with the initial states. *)
+let random_states rng man levels init =
+  let cube () =
+    Bdd.conj man
+      (List.filter_map
+         (fun l ->
+           match Random.State.int rng 4 with
+           | 0 -> Some (Bdd.var man l)
+           | 1 -> Some (Bdd.nvar man l)
+           | _ -> None)
+         levels)
+  in
+  Bdd.disj man (init :: List.init (1 + Random.State.int rng 4) (fun _ -> cube ()))
+
+(* The monolithic definition the clusters must reproduce:
+   rename(exists cur,inp. z /\ C /\ AND_b (n_b <-> f_b)). *)
+let monolithic_image trans =
+  let man = Fsm.Trans.man trans in
+  let space = Fsm.Trans.space trans in
+  let relation =
+    Bdd.conj man
+      (Fsm.Trans.input_constraint trans
+      :: List.map
+           (fun ((b : Fsm.Space.bit), f) ->
+             Bdd.biff man (Bdd.var man b.Fsm.Space.next) f)
+           (Fsm.Trans.assigns trans))
+  in
+  let quant =
+    Bdd.varset man
+      (Fsm.Space.current_levels space @ Fsm.Space.input_levels space)
+  in
+  fun z ->
+    Bdd.rename man
+      (Fsm.Space.next_to_cur_perm space)
+      (Bdd.and_exists man quant z relation)
+
+let test_clustered_image_vs_monolithic () =
+  List.iter
+    (fun (name, (m : Mc.Model.t)) ->
+      let trans = m.Mc.Model.trans and man = Mc.Model.man m in
+      let levels = Fsm.Space.current_levels m.Mc.Model.space in
+      Alcotest.(check bool)
+        (name ^ ": at least 3 clusters") true
+        (Fsm.Trans.image_clusters trans >= 3);
+      let mono = monolithic_image trans in
+      let rng = Random.State.make [| 13 |] in
+      for i = 1 to 8 do
+        let z = random_states rng man levels m.Mc.Model.init in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: image of random set %d" name i)
+          true
+          (Bdd.equal (Fsm.Trans.image trans z) (mono z));
+        let extra =
+          List.init 2 (fun _ -> random_states rng man levels (Bdd.fls man))
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: image ~extra of random set %d" name i)
+          true
+          (Bdd.equal
+             (Fsm.Trans.image ~extra trans z)
+             (mono (Bdd.conj man (z :: extra))))
+      done)
+    (cluster_models ())
+
+let test_clustered_image_repeatable () =
+  (* The first call builds and caches the clusters; the second reuses
+     them and must give the same canonical result. *)
+  List.iter
+    (fun (name, (m : Mc.Model.t)) ->
+      let trans = m.Mc.Model.trans and man = Mc.Model.man m in
+      let rng = Random.State.make [| 7 |] in
+      let z =
+        random_states rng man
+          (Fsm.Space.current_levels m.Mc.Model.space)
+          m.Mc.Model.init
+      in
+      let first = Fsm.Trans.image trans z in
+      Alcotest.(check bool) (name ^ ": second call equal") true
+        (Bdd.equal first (Fsm.Trans.image trans z)))
+    (cluster_models ())
+
+let test_successors_of_state_vs_step () =
+  (* Single-state images stay on the per-bit product; they must still
+     match enumerating every legal input through [Trans.step]. *)
+  List.iter
+    (fun (name, (m : Mc.Model.t)) ->
+      let trans = m.Mc.Model.trans and man = Mc.Model.man m in
+      let space = m.Mc.Model.space in
+      let cur = Fsm.Space.current_levels space in
+      let inputs = Fsm.Space.input_levels space in
+      let state = Bdd.pick_minterm man ~vars:cur m.Mc.Model.init in
+      (* Cluster first, so the per-bit path is checked with the
+         clusters built alongside it. *)
+      ignore (Fsm.Trans.image trans m.Mc.Model.init);
+      let expect = ref (Bdd.fls man) in
+      for k = 0 to (1 lsl List.length inputs) - 1 do
+        let env = Array.copy state in
+        List.iteri (fun i l -> env.(l) <- (k lsr i) land 1 = 1) inputs;
+        if Fsm.Trans.legal_input trans env then begin
+          let succ = Fsm.Trans.step trans env in
+          expect :=
+            Bdd.bor man !expect
+              (Bdd.conj man
+                 (List.map
+                    (fun l -> if succ.(l) then Bdd.var man l else Bdd.nvar man l)
+                    cur))
+        end
+      done;
+      Alcotest.(check bool) (name ^ ": successors = step enumeration") true
+        (Bdd.equal (Fsm.Trans.successors_of_state trans state) !expect))
+    (cluster_models ())
+
 let qtest name prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:150 ~name ~print:print_spec gen_spec prop)
@@ -273,6 +400,15 @@ let () =
             test_interleaved_words;
           Alcotest.test_case "cur/next adjacency" `Quick
             test_cur_next_adjacent;
+        ] );
+      ( "clustered image",
+        [
+          Alcotest.test_case "equals the monolithic image" `Quick
+            test_clustered_image_vs_monolithic;
+          Alcotest.test_case "cached clusters repeat" `Quick
+            test_clustered_image_repeatable;
+          Alcotest.test_case "successors_of_state vs step" `Quick
+            test_successors_of_state_vs_step;
         ] );
       ( "vs explicit-state",
         [

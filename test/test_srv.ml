@@ -54,6 +54,48 @@ let test_jobspec_rejections () =
   rejects "batch portfolio"
     {|{"id":"a","model":{"family":"fifo"},"method":"portfolio","batch":true}|}
 
+let test_jobspec_model_ranges () =
+  (* Each family's own precondition is enforced at parse time: the
+     error is one line naming the field, never the model builder's
+     assertion. *)
+  let rejects field model =
+    let line = Printf.sprintf {|{"id":"a","model":%s}|} model in
+    match Srv.Protocol.request_of_line line with
+    | Ok _ -> Alcotest.fail (model ^ ": out-of-range model accepted")
+    | Error why ->
+      Alcotest.(check bool) (model ^ " names " ^ field) true
+        (contains ~sub:(Printf.sprintf "%S" field) why);
+      Alcotest.(check bool) (model ^ ": one line") false
+        (String.contains why '\n');
+      Alcotest.(check bool) (model ^ ": no assertion text") false
+        (contains ~sub:"Assert" why)
+  in
+  rejects "depth" {|{"family":"fifo","depth":0}|};
+  rejects "width" {|{"family":"fifo","width":0}|};
+  rejects "procs" {|{"family":"network","procs":-3}|};
+  rejects "procs" {|{"family":"network","procs":0}|};
+  rejects "procs" {|{"family":"network","procs":16}|};
+  rejects "regs" {|{"family":"cpu","regs":0}|};
+  rejects "regs" {|{"family":"cpu","regs":1}|};
+  rejects "width" {|{"family":"cpu","width":0}|};
+  rejects "width" {|{"family":"abp","width":0}|};
+  rejects "depth" {|{"family":"filter","depth":6}|};
+  rejects "depth" {|{"family":"filter","depth":1}|};
+  rejects "depth" {|{"family":"filter","depth":0}|};
+  (* The boundary values build. *)
+  List.iter
+    (fun model ->
+      let j = parse_job (Printf.sprintf {|{"id":"a","model":%s}|} model) in
+      ignore (Srv.Jobspec.build j.Srv.Jobspec.model))
+    [
+      {|{"family":"fifo","depth":1,"width":1,"bound":1}|};
+      {|{"family":"network","procs":1}|};
+      {|{"family":"network","procs":15}|};
+      {|{"family":"cpu","regs":2,"width":1}|};
+      {|{"family":"abp","width":1}|};
+      {|{"family":"filter","depth":2}|};
+    ]
+
 let test_jobspec_batch_roundtrip () =
   let j =
     parse_job {|{"id":"b","model":{"family":"network","procs":3},"batch":true}|}
@@ -328,6 +370,35 @@ let test_daemon_verdict_parity () =
           (Some (Mc.Report.status_string oneshot))
           (ev_str "verdict" r))
     jobs
+
+let test_daemon_bad_model_then_serves () =
+  (* An out-of-range model is answered with one clean error line, and
+     the daemon goes on to serve the next job. *)
+  let sock = tmp_sock () in
+  let events =
+    with_daemon (base_cfg sock) (fun () ->
+        talk sock
+          [
+            {|{"id":"bad","model":{"family":"network","procs":-3}}|};
+            {|{"id":"good","model":{"family":"fifo"}}|};
+            {|{"type":"shutdown"}|};
+          ])
+  in
+  (match List.filter (fun j -> ev_type j = "error") events with
+  | [ e ] ->
+    let why = Option.value ~default:"" (ev_str "reason" e) in
+    Alcotest.(check bool) "error names the field" true
+      (contains ~sub:"procs" why);
+    Alcotest.(check bool) "no assertion text" false (contains ~sub:"Assert" why)
+  | errs ->
+    Alcotest.fail (Printf.sprintf "expected one error, got %d" (List.length errs)));
+  Alcotest.(check bool) "bad job never accepted" true
+    (find_result "bad" events = None);
+  match find_result "good" events with
+  | Some r ->
+    Alcotest.(check (option string)) "next job served" (Some "proved")
+      (ev_str "verdict" r)
+  | None -> Alcotest.fail "no result for the job after the bad one"
 
 let test_daemon_overload () =
   (* One worker, queue of one: a burst of three slow jobs must yield at
@@ -828,6 +899,8 @@ let () =
           Alcotest.test_case "defaults and roundtrip" `Quick
             test_jobspec_defaults;
           Alcotest.test_case "rejections" `Quick test_jobspec_rejections;
+          Alcotest.test_case "model parameter ranges" `Quick
+            test_jobspec_model_ranges;
           Alcotest.test_case "batch flag roundtrip" `Quick
             test_jobspec_batch_roundtrip;
           Alcotest.test_case "model cache key" `Quick test_model_key;
@@ -845,6 +918,8 @@ let () =
       ( "daemon",
         [
           Alcotest.test_case "verdict parity" `Quick test_daemon_verdict_parity;
+          Alcotest.test_case "bad model rejected, next job served" `Quick
+            test_daemon_bad_model_then_serves;
           Alcotest.test_case "overload rejects explicitly" `Quick
             test_daemon_overload;
           Alcotest.test_case "portfolio jobs stay live under supervision"
