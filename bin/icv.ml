@@ -84,13 +84,11 @@ let run_checked model_name depth width procs regs bound assisted bug meth_name
       man
   in
   let xici_cfg = { Ici.Policy.default with grow_threshold } in
-  (* --parallel N without --portfolio parallelises the Figure-1 pair
-     scoring inside XICI instead of racing whole configurations. *)
-  let evaluator =
-    if parallel >= 2 && not portfolio then
-      Some (Mc.Parallel.pair_evaluator ~domains:parallel ())
-    else None
-  in
+  if parallel >= 2 && not (portfolio || batch || resilient || fallback <> "")
+  then
+    failwith
+      "--parallel N needs --portfolio, --batch or --resilient (sequential \
+       runs use one domain)";
   let show_trace label r =
     match r.Mc.Report.status with
     | Mc.Report.Violated tr when trace ->
@@ -228,7 +226,7 @@ let run_checked model_name depth width procs regs bound assisted bug meth_name
     List.iter
       (fun meth ->
         let r =
-          Mc.Runner.run ~limits ~xici_cfg ?evaluator
+          Mc.Runner.run ~limits ~xici_cfg
             ?checkpoint_path:checkpoint ~checkpoint_every ?resume_from meth
             model
         in
@@ -561,9 +559,10 @@ let () =
       value & opt int 1
       & info [ "parallel" ] ~docv:"N"
           ~doc:
-            "Worker domains.  With --portfolio, race configurations on \
-             $(docv) domains; without it, parallelise the XICI pairwise \
-             scoring across $(docv) scratch managers.")
+            "Worker domains, for --portfolio (race configurations on \
+             $(docv) domains), --batch (schedule properties onto them) or \
+             --resilient (race the fallback portfolio).  Any other run is \
+             sequential and rejects $(docv) > 1.")
   in
   let batch =
     Arg.(

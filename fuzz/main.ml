@@ -156,11 +156,11 @@ let () =
   in
   let targets =
     Arg.(
-      value & opt string "diff,metamorph,taut,bddops,batch"
+      value & opt string "diff,metamorph,taut,bddops,bandbound,batch"
       & info [ "targets" ] ~docv:"T1,T2,..."
           ~doc:
             "Comma-separated targets: diff, metamorph, taut, bddops, \
-             tinycache, batch.")
+             bandbound, tinycache, batch.")
   in
   let corpus =
     Arg.(

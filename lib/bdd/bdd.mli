@@ -91,12 +91,18 @@ val bnor : man -> t -> t -> t
 val conj : man -> t list -> t
 val disj : man -> t list -> t
 
-val band_bounded : man -> max_steps:int -> t -> t -> t option
-(** Conjunction with a recursion-step budget; [None] when the budget is
-    exhausted.  Implements the paper's future-work "abort the operation
-    if the size exceeds a specified bound" capability, used by the
-    greedy evaluation policy to skip hopeless pairwise conjunctions.
-    Its steps count towards {!steps} and enclosing budgets. *)
+val band_bounded : man -> ?max_nodes:int -> max_steps:int -> t -> t -> t option
+(** Conjunction with a recursion-step budget; [None] once the call has
+    run more than [max_steps] non-cached recursion steps or created
+    more than [max_nodes] nodes (default unbounded).  Implements the
+    paper's future-work "abort the operation if the size exceeds a
+    specified bound" capability, used by the greedy evaluation policy
+    to skip hopeless pairwise conjunctions.  The node bound is a bound
+    on the result: every node the call creates is reachable from its
+    result, so [None] with [max_steps = max_int] implies
+    [size (band man f g) > max_nodes + 1].  [Some r] is always
+    [band man f g].  Its steps count towards {!steps} and enclosing
+    budgets. *)
 
 val implies : man -> t -> t -> bool
 (** [implies man f g] decides f => g. *)
@@ -157,10 +163,18 @@ val size : t -> int
     convention of the paper's tables). *)
 
 val size_list : t list -> int
-(** Shared size of a list of BDDs: common nodes counted once. *)
+(** Shared size of a list of BDDs: common nodes counted once.
+
+    [size], [size_list], [support] and [support_list] cost one visit
+    per reachable node and allocate nothing per node: they share a
+    per-domain visited set of node ids (open-addressed, cleared by a
+    generation bump, grown by doubling to the largest traversal the
+    domain has made).  Safe to call from several domains at once;
+    not from several threads of one domain. *)
 
 val support : t -> int list
 val support_list : t list -> int list
+(** Levels the BDDs depend on, ascending. *)
 
 val sat_count : nvars:int -> t -> float
 (** Number of satisfying assignments over levels [0..nvars-1]. *)

@@ -53,18 +53,23 @@ let band man f g = ite man f g fls
 exception Step_budget_exhausted
 
 (* AND with a recursion-step budget: returns [None] if the computation
-   needs more than [max_steps] non-cached recursive calls.  This is the
-   "compute the size of a result without building it / abort if it
-   exceeds a bound" capability the paper lists as future work; the
-   greedy evaluation policy uses it to skip hopeless pairwise
-   conjunctions.  Results live under their own op tag ([op_band]) so
-   completed sub-results are shared across calls; hits and misses are
-   accounted to the "ite" statistic it conceptually belongs to.  Its
-   steps tick the manager like any other operator's, so enclosing
-   budgets, deadlines and cancellation reach it too. *)
-let band_bounded man ~max_steps f g =
+   needs more than [max_steps] non-cached recursive calls, or creates
+   more than [max_nodes] nodes.  This is the "compute the size of a
+   result without building it / abort if it exceeds a bound" capability
+   the paper lists as future work; the greedy evaluation policy uses it
+   to skip hopeless pairwise conjunctions.  The node bound is a bound
+   on the result: every node this call creates is the memoised result
+   of one of its sub-calls, and every sub-result is reachable from the
+   final result, so creating more than [max_nodes] nodes proves the
+   result has more than [max_nodes] internal nodes.  Results live under
+   their own op tag ([op_band]) so completed sub-results are shared
+   across calls, aborted ones included; hits and misses are accounted
+   to the "ite" statistic it conceptually belongs to.  Its steps tick
+   the manager like any other operator's, so enclosing budgets,
+   deadlines and cancellation reach it too. *)
+let band_bounded man ?(max_nodes = max_int) ~max_steps f g =
   let cache = man.Man.computed in
-  let start = man.Man.steps in
+  let start = man.Man.steps and created = man.Man.created in
   let rec go f g =
     if is_false f || is_false g then fls
     else if is_true f then g
@@ -88,6 +93,8 @@ let band_bounded man ~max_steps f g =
         let g0, g1 = cofactors g v in
         let r = Man.mk man v ~low:(go f0 g0) ~high:(go f1 g1) in
         Computed.store cache Computed.op_band a b 0 r;
+        if man.Man.created - created > max_nodes then
+          raise Step_budget_exhausted;
         r
       end
     end

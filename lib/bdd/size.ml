@@ -7,39 +7,115 @@
 
 open Repr
 
+(* The visited set shared by [size_list] and [support_list]: an
+   open-addressed table of node ids, one per domain, reused by every
+   traversal.  Slot [i] is the pair (stamp, id) at [slots.(2i)] and
+   [slots.(2i+1)]; it is occupied in the current traversal iff its
+   stamp equals [gen], so starting a traversal is a generation bump,
+   not a clear.  Nothing is allocated per visited node and nothing is
+   hashed polymorphically; the table doubles when half full, so its
+   size tracks the largest traversal this domain has made.  Node ids
+   are unique only within a manager, which is all one traversal
+   needs.  Traversals never call out, so they never nest. *)
+type visited = {
+  mutable slots : int array;
+  mutable mask : int;           (* slot count - 1 *)
+  mutable count : int;          (* ids stamped [gen] *)
+  mutable gen : int;            (* stamps start at 0, [gen] at 1 *)
+  mutable level_stamp : int array;
+      (* [support_list]: level [l] is in the support iff
+         [level_stamp.(l) = gen] *)
+}
+
+let initial_slots = 1024
+
+let visited_key =
+  Domain.DLS.new_key (fun () ->
+      { slots = Array.make (2 * initial_slots) 0; mask = initial_slots - 1;
+        count = 0; gen = 0; level_stamp = [||] })
+
+(* Fibonacci hashing: ids are near-consecutive, so mix them before
+   masking. *)
+let slot_of id mask =
+  let h = id * 0x9E3779B97F4A7C1 in
+  (h lxor (h lsr 29)) land mask
+
+(* Stamp [id]; [true] iff it was not yet visited in this traversal. *)
+let rec probe v id i =
+  let s = v.slots in
+  let k = 2 * i in
+  if Array.unsafe_get s k <> v.gen then begin
+    Array.unsafe_set s k v.gen;
+    Array.unsafe_set s (k + 1) id;
+    v.count <- v.count + 1;
+    true
+  end
+  else if Array.unsafe_get s (k + 1) = id then false
+  else probe v id ((i + 1) land v.mask)
+
+let grow v =
+  let old = v.slots and gen = v.gen in
+  let slots = 2 * (v.mask + 1) in
+  v.slots <- Array.make (2 * slots) 0;
+  v.mask <- slots - 1;
+  v.count <- 0;
+  for i = 0 to (Array.length old / 2) - 1 do
+    if old.(2 * i) = gen then
+      ignore (probe v old.((2 * i) + 1) (slot_of old.((2 * i) + 1) v.mask))
+  done
+
+let add v id =
+  if 2 * (v.count + 1) > v.mask + 1 then grow v;
+  probe v id (slot_of id v.mask)
+
+let start () =
+  let v = Domain.DLS.get visited_key in
+  v.gen <- v.gen + 1;
+  v.count <- 0;
+  v
+
 (* Number of distinct nodes reachable from the edges, terminal included
    (matching the convention of the paper's node counts). *)
 let size_list fs =
-  let seen = Hashtbl.create 64 in
+  let v = start () in
   let rec visit n =
-    if not (Hashtbl.mem seen n.id) then begin
-      Hashtbl.add seen n.id ();
-      if not (is_terminal_node n) then begin
-        visit n.low;
-        visit n.high
-      end
+    if add v n.id && not (is_terminal_node n) then begin
+      visit n.low;
+      visit n.high
     end
   in
   List.iter (fun f -> visit f.node) fs;
-  Hashtbl.length seen
+  v.count
 
 let size f = size_list [ f ]
 
 let support_list fs =
-  let seen = Hashtbl.create 64 in
-  let levels = Hashtbl.create 16 in
+  let v = start () in
+  let lo = ref max_int and hi = ref (-1) in
   let rec visit n =
-    if not (Hashtbl.mem seen n.id) then begin
-      Hashtbl.add seen n.id ();
-      if not (is_terminal_node n) then begin
-        Hashtbl.replace levels n.level ();
-        visit n.low;
-        visit n.high
-      end
+    if add v n.id && not (is_terminal_node n) then begin
+      let l = n.level in
+      if l >= Array.length v.level_stamp then begin
+        let n = Array.length v.level_stamp in
+        let grown = Array.make (max (2 * n) (l + 1)) 0 in
+        Array.blit v.level_stamp 0 grown 0 n;
+        v.level_stamp <- grown
+      end;
+      if v.level_stamp.(l) <> v.gen then begin
+        v.level_stamp.(l) <- v.gen;
+        if l < !lo then lo := l;
+        if l > !hi then hi := l
+      end;
+      visit n.low;
+      visit n.high
     end
   in
   List.iter (fun f -> visit f.node) fs;
-  List.sort compare (Hashtbl.fold (fun l () acc -> l :: acc) levels [])
+  let acc = ref [] in
+  for l = !hi downto !lo do
+    if v.level_stamp.(l) = v.gen then acc := l :: !acc
+  done;
+  !acc
 
 let support f = support_list [ f ]
 

@@ -8,15 +8,24 @@
    QCheck2's integrated shrinking: the counterexamples reported for a
    failing batch are already minimal. *)
 
-type target = Diff | Metamorph | Taut | Bddops | Tinycache | Batchfuzz
+type target =
+  | Diff
+  | Metamorph
+  | Taut
+  | Bddops
+  | Bandbound
+  | Tinycache
+  | Batchfuzz
 
-let all_targets = [ Diff; Metamorph; Taut; Bddops; Tinycache; Batchfuzz ]
+let all_targets =
+  [ Diff; Metamorph; Taut; Bddops; Bandbound; Tinycache; Batchfuzz ]
 
 let target_name = function
   | Diff -> "diff"
   | Metamorph -> "metamorph"
   | Taut -> "taut"
   | Bddops -> "bddops"
+  | Bandbound -> "bandbound"
   | Tinycache -> "tinycache"
   | Batchfuzz -> "batch"
 
@@ -25,6 +34,7 @@ let target_of_string = function
   | "metamorph" -> Some Metamorph
   | "taut" -> Some Taut
   | "bddops" -> Some Bddops
+  | "bandbound" -> Some Bandbound
   | "tinycache" -> Some Tinycache
   | "batch" -> Some Batchfuzz
   | _ -> None
@@ -92,6 +102,11 @@ let test_of_target target ~count =
       ~print:(with_diag_result Tautfuzz.print_pair Tautfuzz.check_ops)
       Tautfuzz.gen_pair
       (fun p -> Result.is_ok (Tautfuzz.check_ops p))
+  | Bandbound ->
+    QCheck2.Test.make ~count ~name
+      ~print:(with_diag_result Tautfuzz.print_bound Tautfuzz.check_band_bound)
+      Tautfuzz.gen_bound
+      (fun c -> Result.is_ok (Tautfuzz.check_band_bound c))
 
 let run_batch target ~seed ~count =
   let entry = { Corpus.target = target_name target; seed; count } in

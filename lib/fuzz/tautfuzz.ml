@@ -195,3 +195,50 @@ let check_ops (ea, eb) =
   match bad with
   | None -> Ok ()
   | Some name -> Error (name ^ " disagrees with the truth table")
+
+(* --- node-bounded conjunction ----------------------------------------- *)
+
+(* Cases are two expressions and a slack: the bound is the
+   conjunction's internal node count plus the slack, so every case sits
+   next to the boundary where [band_bounded] must switch from giving up
+   to completing. *)
+let gen_bound =
+  QCheck2.Gen.(
+    triple (Expr.gen_expr ~nvars) (Expr.gen_expr ~nvars) (int_range (-3) 2))
+
+let print_bound (a, b, slack) =
+  Printf.sprintf "%s // slack=%d" (print_pair (a, b)) slack
+
+(* [band_bounded ~max_nodes] against the truth table: a completed call
+   returns the conjunction, and a call that gives up does so only on a
+   conjunction with more than [max_nodes] internal nodes.  The bound is
+   sized in a separate manager and the bounded call runs first in a
+   fresh one, so every node of its result is created by it. *)
+let check_band_bound (ea, eb, slack) =
+  let internal =
+    let man, fs = build [ ea; eb ] in
+    Bdd.size (Bdd.conj man fs) - 1
+  in
+  let max_nodes = max 0 (internal + slack) in
+  let man, fs = build [ ea; eb ] in
+  let f, g = match fs with [ f; g ] -> (f, g) | _ -> assert false in
+  let bounded = Bdd.band_bounded man ~max_nodes ~max_steps:max_int f g in
+  let conj = Bdd.band man f g in
+  if
+    not
+      (List.for_all
+         (fun env ->
+           Bdd.eval man env conj
+           = (Expr.eval_expr env ea && Expr.eval_expr env eb))
+         (Lazy.force envs))
+  then Error "band disagrees with the truth table"
+  else
+    match bounded with
+    | Some r when Bdd.equal r conj -> Ok ()
+    | Some _ -> Error "band_bounded ~max_nodes returned a different conjunction"
+    | None when internal > max_nodes -> Ok ()
+    | None ->
+      Error
+        (Printf.sprintf
+           "band_bounded ~max_nodes:%d gave up on a %d-node conjunction"
+           max_nodes (Bdd.size conj))

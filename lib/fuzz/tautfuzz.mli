@@ -6,7 +6,8 @@
     variable-choice heuristics x memo x simplify and the
     fuel-exhaustion-retry path; {!check_ops} covers the core BDD
     operators (implies, equal, bounded conjunction, Restrict, Constrain,
-    multi-restrict, quantification, relational product). *)
+    multi-restrict, quantification, relational product), and
+    {!check_band_bound} the node bound of {!Bdd.band_bounded}. *)
 
 val nvars : int
 
@@ -18,3 +19,12 @@ val print_pair : Expr.t * Expr.t -> string
 
 val check_tautology : Expr.t list -> (unit, string) result
 val check_ops : Expr.t * Expr.t -> (unit, string) result
+
+val gen_bound : (Expr.t * Expr.t * int) QCheck2.Gen.t
+val print_bound : Expr.t * Expr.t * int -> string
+
+val check_band_bound : Expr.t * Expr.t * int -> (unit, string) result
+(** [band_bounded ~max_nodes ~max_steps:max_int] with [max_nodes] the
+    conjunction's internal node count plus the case's slack: [Some r]
+    must be the conjunction, and [None] is allowed only when the
+    conjunction has more than [max_nodes] internal nodes. *)

@@ -8,7 +8,11 @@
    2. greedy conjunction evaluation (Figure 1): repeatedly evaluate the
       pairwise conjunction whose BDD is smallest relative to the shared
       size of its two operands, until the best ratio exceeds
-      GrowThreshold (1.5 in the paper). *)
+      GrowThreshold (1.5 in the paper).  Each pair is scored once per
+      run, and with a step factor it is built under the paper's
+      future-work bound: it is abandoned once it has created more than
+      GrowThreshold x shared-size nodes, which proves it can never be
+      merged. *)
 
 type simplifier = Restrict | Constrain | Multi_restrict | No_simplify
 
@@ -20,9 +24,11 @@ type config = {
   evaluation : evaluation;
   pair_step_factor : int option;
       (* the paper's future-work size-bounded AND: abort a pairwise
-         conjunction after factor * shared-size recursion steps and
-         treat the pair as unprofitable (ratio infinity).  [None] builds
-         every pair unconditionally, as the paper's implementation did. *)
+         conjunction after factor * shared-size recursion steps, or
+         once it has created more than grow_threshold * shared-size
+         nodes, and treat the pair as unprofitable (ratio infinity).
+         [None] builds every pair unconditionally, as the paper's
+         implementation did. *)
 }
 
 let default =
@@ -44,7 +50,10 @@ module M = struct
 
   (* Best-pair size ratios, in percent (so 150 = the default
      GrowThreshold); log2 buckets separate "free" merges (<100) from
-     marginal and hopeless ones. *)
+     marginal and hopeless ones.  Observed only in rounds where some
+     pair completed: with the node bound, pairs above the threshold are
+     mostly abandoned, so a round whose pairs all exceed it often
+     observes nothing. *)
   let ratio_pct = Obs.Registry.histogram reg "policy.best_ratio_pct"
 end
 
@@ -98,9 +107,11 @@ let simplify_pass man cfg xs =
     if Clist.is_false xs then xs
     else begin
       let arr = Array.of_list xs in
+      (* sizes.(i) = Bdd.size arr.(i), kept in step with [arr]. *)
+      let sizes = Array.map Bdd.size arr in
       let order =
         List.sort
-          (fun i j -> compare (Bdd.size arr.(i)) (Bdd.size arr.(j)))
+          (fun i j -> compare sizes.(i) sizes.(j))
           (List.init (Array.length arr) (fun i -> i))
       in
       let collapsed = ref false in
@@ -111,18 +122,21 @@ let simplify_pass man cfg xs =
               if (not !collapsed) && j <> i
                  && (not (Bdd.is_const arr.(j)))
                  && (not (Bdd.is_const arr.(i)))
-                 && Bdd.size arr.(j) < Bdd.size arr.(i)
+                 && sizes.(j) < sizes.(i)
               then begin
                 let r = apply_simplifier man s arr.(i) arr.(j) in
-                if Bdd.size r < Bdd.size arr.(i) then
-                  Obs.Registry.incr M.restrict_wins
+                let size_r = Bdd.size r in
+                if size_r < sizes.(i) then Obs.Registry.incr M.restrict_wins
                 else Obs.Registry.incr M.restrict_losses;
                 (* r = false means x_i /\ x_j is unsatisfiable. *)
                 if Bdd.is_false r then begin
                   Obs.Registry.incr M.collapses;
                   collapsed := true
                 end
-                else arr.(i) <- r
+                else begin
+                  arr.(i) <- r;
+                  sizes.(i) <- size_r
+                end
               end)
             order)
         order;
@@ -132,13 +146,17 @@ let simplify_pass man cfg xs =
 
 (* The pair table P of Figure 1, held by the caller so entries survive
    across [improve] calls (one traversal iteration each): pairs whose
-   operands did not change between iterations keep their scored
-   conjunction.  Node ids are monotone (never reused), so a stale tag
-   key can never alias a different node -- but after a [Bdd.gc] the
-   cached BDD values may be dead, so the table is invalidated whenever
-   the manager's gc generation moves. *)
+   operands did not change between iterations keep their score.  An
+   entry is [Some (ratio, p)] for a completed pair and [None] for one
+   abandoned under the bounds below, so each pair's sizes are computed
+   once per run, not once per merge round.  Node ids are monotone
+   (never reused), so a stale tag key can never alias a different node
+   -- but after a [Bdd.gc] the cached BDD values may be dead, so the
+   table is invalidated whenever the manager's gc generation moves.
+   Whether a pair is abandoned depends on the threshold and step
+   factor, so one table serves one policy configuration. *)
 type state = {
-  pairs : (int * int, Bdd.t option) Hashtbl.t;
+  pairs : (int * int, (float * Bdd.t) option) Hashtbl.t;
   mutable gc_generation : int;
 }
 
@@ -152,38 +170,60 @@ let validate_state man st =
   end;
   st
 
+(* floor(grow_threshold * shared), saturating at [max_int] (also for an
+   infinite threshold). *)
+let node_bound grow_threshold shared =
+  let m = grow_threshold *. float_of_int shared in
+  if m < float_of_int max_int then int_of_float m else max_int
+
 (* Greedy pair evaluation, Figure 1 of the paper.  The pair table P is a
    cache keyed by conjunct tags; pass [state] (kept by the traversal
    loop) so entries survive across traversal iterations, not just
-   across the merge loop below.  With [pair_step_factor = Some k] a
-   pairwise conjunction is abandoned after k * shared-size recursion
-   steps (and cached as hopeless), realising the size-bounded
-   evaluation the paper proposes as future work. *)
+   across the merge loop below.
+
+   With [pair_step_factor = Some k] a pairwise conjunction is built
+   under two bounds, realising the size-bounded evaluation the paper
+   proposes as future work, and cached as hopeless when either trips:
+   - k * shared-size recursion steps;
+   - floor(grow_threshold * shared) created nodes.  A pair that trips
+     this one has more than that many internal nodes, so its ratio
+     exceeds GrowThreshold: it could never be merged, nor be the best
+     among the pairs that can, so merge decisions are the same as
+     without the bound.
+   [None] builds every pair, as the paper's implementation did. *)
 let greedy_evaluate man ?state ?pair_step_factor ~grow_threshold xs =
   let state =
     validate_state man
       (match state with Some st -> st | None -> create_state ())
   in
   let pair_cache = state.pairs in
-  let conjoin a b =
+  let score a b =
     let ka = Bdd.tag a and kb = Bdd.tag b in
     let key = if ka <= kb then (ka, kb) else (kb, ka) in
     match Hashtbl.find_opt pair_cache key with
-    | Some p ->
+    | Some scored ->
       Obs.Registry.incr M.pair_cache_hits;
-      p
+      scored
     | None ->
       Obs.Registry.incr M.pairs_scored;
+      let shared = Bdd.size_list [ a; b ] in
       let p =
         match pair_step_factor with
         | None -> Some (Bdd.band man a b)
         | Some factor ->
-          let max_steps = (factor * Bdd.size_list [ a; b ]) + 1024 in
-          Bdd.band_bounded man ~max_steps a b
+          Bdd.band_bounded man
+            ~max_nodes:(node_bound grow_threshold shared)
+            ~max_steps:((factor * shared) + 1024)
+            a b
       in
-      if Option.is_none p then Obs.Registry.incr M.pairs_abandoned;
-      Hashtbl.replace pair_cache key p;
-      p
+      let scored =
+        Option.map
+          (fun p -> (float_of_int (Bdd.size p) /. float_of_int shared, p))
+          p
+      in
+      if Option.is_none scored then Obs.Registry.incr M.pairs_abandoned;
+      Hashtbl.replace pair_cache key scored;
+      scored
   in
   let rec loop xs =
     match xs with
@@ -194,14 +234,10 @@ let greedy_evaluate man ?state ?pair_step_factor ~grow_threshold xs =
       let best = ref None in
       for i = 0 to n - 1 do
         for j = i + 1 to n - 1 do
-          match conjoin arr.(i) arr.(j) with
-          | None -> () (* budget blown: ratio is effectively infinite *)
-          | Some p ->
-            let ratio =
-              float_of_int (Bdd.size p)
-              /. float_of_int (Bdd.size_list [ arr.(i); arr.(j) ])
-            in
-            (match !best with
+          match score arr.(i) arr.(j) with
+          | None -> () (* abandoned: ratio is effectively infinite *)
+          | Some (ratio, p) -> (
+            match !best with
             | Some (r, _, _, _) when r <= ratio -> ()
             | _ -> best := Some (ratio, i, j, p))
         done
@@ -243,23 +279,10 @@ let cover_evaluate man xs =
     Clist.of_list man parts
   end
 
-(* A pluggable replacement for the greedy evaluation phase (the
-   parallel pair-scoring layer in Mc plugs in here, without this
-   package depending on it).  Returning [None] declines the list and
-   falls back to the sequential greedy loop.  NOTE: [config] is
-   serialized field-by-field into checkpoints, so the evaluator is a
-   separate argument, not a config field. *)
-type evaluator =
-  Bdd.man ->
-  pair_step_factor:int option ->
-  grow_threshold:float ->
-  Bdd.t list ->
-  Bdd.t list option
-
 (* The full XICI list transformer: simplify, then evaluate.  Each phase
    is a span so traces show where policy time goes; args record the
    list length going in and out. *)
-let improve man ?state ?evaluator cfg xs =
+let improve man ?state cfg xs =
   let tracer = Obs.Tracer.global () in
   let span name n f =
     Obs.Tracer.with_span tracer ~cat:"policy"
@@ -274,19 +297,8 @@ let improve man ?state ?evaluator cfg xs =
   else
     span "policy.evaluate" (List.length xs) (fun () ->
         match cfg.evaluation with
-        | Greedy -> (
-          let delegated =
-            match evaluator with
-            | Some ev ->
-              ev man ~pair_step_factor:cfg.pair_step_factor
-                ~grow_threshold:cfg.grow_threshold xs
-            | None -> None
-          in
-          match delegated with
-          | Some ys -> Clist.of_list man ys
-          | None ->
-            greedy_evaluate man ?state
-              ?pair_step_factor:cfg.pair_step_factor
-              ~grow_threshold:cfg.grow_threshold xs)
+        | Greedy ->
+          greedy_evaluate man ?state ?pair_step_factor:cfg.pair_step_factor
+            ~grow_threshold:cfg.grow_threshold xs
         | Optimal_cover -> cover_evaluate man xs
         | No_evaluation -> xs)

@@ -3,7 +3,10 @@
     [improve] transforms an implicitly conjoined list into an equivalent
     list of smaller overall size: cross-simplification with Restrict (or
     Constrain) followed by greedy evaluation of profitable pairwise
-    conjunctions (Figure 1 of the paper). *)
+    conjunctions (Figure 1 of the paper).  With a [pair_step_factor]
+    the evaluation builds each pair under a step bound and a node bound
+    of [grow_threshold * shared-size]; the node bound only abandons
+    pairs that could never be merged, so it changes no merge decision. *)
 
 type simplifier =
   | Restrict
@@ -26,8 +29,10 @@ type config = {
   pair_step_factor : int option;
       (** the paper's future-work size-bounded AND: give up on a
           pairwise conjunction after [factor * shared-size] recursion
-          steps and treat the pair as unprofitable.  [None] builds
-          every pair unconditionally (the paper's implementation). *)
+          steps, or once it has created more than
+          [grow_threshold * shared-size] nodes, and treat the pair as
+          unprofitable.  [None] builds every pair unconditionally (the
+          paper's implementation). *)
 }
 
 val default : config
@@ -40,11 +45,14 @@ val simplify_pass : Bdd.man -> config -> Clist.t -> Clist.t
 
 type state
 (** The pair table P of Figure 1, held by the traversal loop so scored
-    pairs survive across {!improve} calls.  Keyed by conjunct tags
+    pairs survive across {!improve} calls.  Each entry is a pair's
+    ratio and conjunction, or the mark of an abandoned pair, so a
+    pair's sizes are computed once per run.  Keyed by conjunct tags
     (node ids are never reused, so stale keys cannot alias) and
     invalidated automatically when the manager's gc generation
     ({!Bdd.gc_events}) moves, since cached BDD values may be dead after
-    a collection. *)
+    a collection.  Scores depend on the threshold and step factor, so
+    use one table with one configuration. *)
 
 val create_state : unit -> state
 (** A fresh, empty pair table.  One per traversal run; sharing across
@@ -59,25 +67,20 @@ val greedy_evaluate :
   Clist.t
 (** Figure 1.  Repeatedly replace the pair [xi, xj] minimising
     [size(xi /\ xj) / shared_size(xi, xj)] by its conjunction while the
-    ratio is at most [grow_threshold].  Without [state] the pair table
-    only lives for this one call. *)
+    ratio is at most [grow_threshold].  With [pair_step_factor = k] a
+    pair is abandoned after [k * shared + 1024] recursion steps or once
+    it has created more than [floor(grow_threshold * shared)] nodes
+    ({!Bdd.band_bounded}); the node bound only trips on pairs whose
+    ratio exceeds [grow_threshold], so the merges are those of the
+    unbounded evaluation.  Without [pair_step_factor] every pair is
+    built.  Without [state] the pair table only lives for this one
+    call.  The [policy.best_ratio_pct] histogram observes each round
+    in which some pair completed. *)
 
 val cover_evaluate : Bdd.man -> Clist.t -> Clist.t
 (** Theorem-2 baseline: evaluate the exact minimum-cost pairwise cover
     (identity on lists longer than {!Matching.max_exact}). *)
 
-type evaluator =
-  Bdd.man ->
-  pair_step_factor:int option ->
-  grow_threshold:float ->
-  Bdd.t list ->
-  Bdd.t list option
-(** Pluggable replacement for the greedy evaluation phase (e.g. the
-    parallel pair-scoring layer in Mc).  Returning [None] declines and
-    {!improve} falls back to the sequential greedy loop. *)
-
-val improve :
-  Bdd.man -> ?state:state -> ?evaluator:evaluator -> config -> Clist.t -> Clist.t
+val improve : Bdd.man -> ?state:state -> config -> Clist.t -> Clist.t
 (** The full policy: simplify then evaluate.  Preserves the implied
-    conjunction.  [state] persists the greedy pair table across calls;
-    [evaluator] substitutes the Greedy evaluation phase. *)
+    conjunction.  [state] persists the greedy pair table across calls. *)

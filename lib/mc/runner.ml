@@ -31,16 +31,16 @@ let of_name s =
 
 (* The checkpoint/resume options only apply to XICI (the only method
    with serializable fixpoint state); other methods ignore them, as
-   they do the XICI-only [var_choice]/[evaluator] knobs. *)
-let run ?limits ?xici_cfg ?termination ?var_choice ?evaluator
-    ?checkpoint_path ?checkpoint_every ?resume_from meth model =
+   they do the XICI-only [var_choice] knob. *)
+let run ?limits ?xici_cfg ?termination ?var_choice ?checkpoint_path
+    ?checkpoint_every ?resume_from meth model =
   match meth with
   | Forward -> Forward.run ?limits model
   | Backward -> Backward.run ?limits model
   | Fd -> Fd.run ?limits model
   | Ici -> Ici_method.run ?limits model
   | Xici ->
-    Xici.run ?limits ?cfg:xici_cfg ?termination ?var_choice ?evaluator
-      ?checkpoint_path ?checkpoint_every ?resume_from model
+    Xici.run ?limits ?cfg:xici_cfg ?termination ?var_choice ?checkpoint_path
+      ?checkpoint_every ?resume_from model
   | Idi -> Forward_idi.run ?limits ?cfg:xici_cfg model
   | Explicit -> Explicit.run ?limits model

@@ -30,8 +30,8 @@ let lists_pointwise_equal a b =
    [termination] default to the checkpointed values so the continued
    run uses the policy that produced the snapshot. *)
 let run_full ?(limits = fun man -> Limits.unlimited man) ?cfg ?termination
-    ?(var_choice = Ici.Tautology.First_top) ?tautology_stats ?evaluator
-    ?image_via ?checkpoint_path ?(checkpoint_every = 1) ?resume_from model =
+    ?(var_choice = Ici.Tautology.First_top) ?tautology_stats ?image_via
+    ?checkpoint_path ?(checkpoint_every = 1) ?resume_from model =
   let cfg =
     match (cfg, resume_from) with
     | Some c, _ -> c
@@ -69,7 +69,7 @@ let run_full ?(limits = fun man -> Limits.unlimited man) ?cfg ?termination
      across every termination test of the run. *)
   let policy_state = Ici.Policy.create_state () in
   let taut_memo = Ici.Tautology.create_memo () in
-  let improve l = Ici.Policy.improve man ~state:policy_state ?evaluator cfg l in
+  let improve l = Ici.Policy.improve man ~state:policy_state cfg l in
   let converged l l' =
     match termination with
     | `Pointwise -> lists_pointwise_equal l l'
@@ -175,15 +175,19 @@ let run_full ?(limits = fun man -> Limits.unlimited man) ?cfg ?termination
           iterations := cp.Checkpoint.iterations;
           iterate cp.Checkpoint.current cp.Checkpoint.gs
         | None ->
-          let start_list = improve l0 in
+          (* The initial improve gets a span of its own, so its policy
+             spans are not orphan roots beside the iterations. *)
+          let start_list =
+            Obs.Tracer.with_span tracer ~cat:"mc" "xici.init" (fun () ->
+                improve l0)
+          in
           iterate start_list [ start_list ]
       in
       (report, !final)
     with Limits.Exceeded why -> (finish (Report.Exceeded why), None))
 
-let run ?limits ?cfg ?termination ?var_choice ?tautology_stats ?evaluator
-    ?image_via ?checkpoint_path ?checkpoint_every ?resume_from model =
+let run ?limits ?cfg ?termination ?var_choice ?tautology_stats ?image_via
+    ?checkpoint_path ?checkpoint_every ?resume_from model =
   fst
     (run_full ?limits ?cfg ?termination ?var_choice ?tautology_stats
-       ?evaluator ?image_via ?checkpoint_path ?checkpoint_every ?resume_from
-       model)
+       ?image_via ?checkpoint_path ?checkpoint_every ?resume_from model)

@@ -20,7 +20,6 @@ val run :
   ?termination:termination ->
   ?var_choice:Ici.Tautology.var_choice ->
   ?tautology_stats:Ici.Tautology.stats ->
-  ?evaluator:Ici.Policy.evaluator ->
   ?image_via:Fsm.Trans.image_via ->
   ?checkpoint_path:string ->
   ?checkpoint_every:int ->
@@ -34,7 +33,6 @@ val run_full :
   ?termination:termination ->
   ?var_choice:Ici.Tautology.var_choice ->
   ?tautology_stats:Ici.Tautology.stats ->
-  ?evaluator:Ici.Policy.evaluator ->
   ?image_via:Fsm.Trans.image_via ->
   ?checkpoint_path:string ->
   ?checkpoint_every:int ->

@@ -993,6 +993,133 @@ let prop_steps_count_misses (a, b) =
   ignore (Bdd.rename man shift f);
   Bdd.steps man - steps0 = misses () - misses0
 
+(* --- Node traversals and the node-bounded conjunction ----------------- *)
+
+(* Reference traversal through a fresh Hashtbl, over the public API: an
+   edge's node is its tag without the complement bit. *)
+let reference_walk fs =
+  let seen = Hashtbl.create 64 and levels = Hashtbl.create 16 in
+  let rec visit e =
+    let node = Bdd.tag e / 2 in
+    if not (Hashtbl.mem seen node) then begin
+      Hashtbl.add seen node ();
+      if not (Bdd.is_const e) then begin
+        Hashtbl.replace levels (Bdd.level e) ();
+        let lo, hi = Bdd.cofactors e (Bdd.level e) in
+        visit lo;
+        visit hi
+      end
+    end
+  in
+  List.iter visit fs;
+  ( Hashtbl.length seen,
+    List.sort compare (Hashtbl.fold (fun l () acc -> l :: acc) levels []) )
+
+let traversals_agree fs =
+  (Bdd.size_list fs, Bdd.support_list fs) = reference_walk fs
+  && List.for_all
+       (fun f -> (Bdd.size f, Bdd.support f) = reference_walk [ f ])
+       fs
+
+(* Lists of possibly complemented edges (the bool) over [nvars]. *)
+let gen_signed_list =
+  QCheck2.Gen.(list_size (int_range 0 6) (pair bool (Testutil.gen_expr ~nvars)))
+
+let print_signed_list es =
+  String.concat " ; "
+    (List.map (fun (n, e) -> (if n then "~" else "") ^ print_expr e) es)
+
+let build_signed man vars es =
+  List.map
+    (fun (n, e) ->
+      let f = Testutil.build_bdd man vars e in
+      if n then Bdd.bnot man f else f)
+    es
+
+(* AND_i (x_i <-> y_i) with every x above every y: about 3 * 2^n nodes,
+   enough to make the visited set grow several times.  Returns the
+   manager and [eq i] = (x_i <-> y_i); the conjunction is left to the
+   caller. *)
+let separated_equality n =
+  let man = Bdd.create () in
+  let xs = Array.init n (fun _ -> Bdd.new_var man) in
+  let ys = Array.init n (fun _ -> Bdd.new_var man) in
+  (man, fun i -> Bdd.biff man (Bdd.var man xs.(i)) (Bdd.var man ys.(i)))
+
+let prop_traversals_reference es =
+  let man, vars = Testutil.fresh_man nvars in
+  let fs = build_signed man vars es in
+  let x0 = Bdd.var man vars.(0) in
+  traversals_agree fs
+  && traversals_agree (List.map (Bdd.bnot man) fs @ fs)
+  && traversals_agree (Bdd.tru man :: Bdd.fls man :: fs)
+  && traversals_agree (List.concat_map (fun f -> [ f; Bdd.band man f x0 ]) fs)
+
+let prop_traversals_two_managers (es1, es2) =
+  (* Node ids of the two managers overlap, so a visited set leaking
+     from one traversal into the next would show here. *)
+  let man1, vars1 = Testutil.fresh_man nvars in
+  let man2, vars2 = Testutil.fresh_man nvars in
+  let fs1 = build_signed man1 vars1 es1 and fs2 = build_signed man2 vars2 es2 in
+  let rec interleave a b =
+    match (a, b) with
+    | [], l | l, [] -> l
+    | x :: a, y :: b -> x :: y :: interleave a b
+  in
+  List.for_all (fun f -> traversals_agree [ f ]) (interleave fs1 fs2)
+  && traversals_agree fs1 && traversals_agree fs2
+
+let test_traversal_edge_cases () =
+  let man, eq = separated_equality 11 in
+  let big = Bdd.conj man (List.init 11 eq) in
+  Alcotest.(check (pair int (list int))) "empty list" (0, [])
+    (Bdd.size_list [], Bdd.support_list []);
+  Alcotest.(check (pair int (list int))) "constants" (1, [])
+    ( Bdd.size_list [ Bdd.tru man; Bdd.fls man ],
+      Bdd.support_list [ Bdd.fls man ] );
+  Alcotest.(check bool) "large BDD" true (traversals_agree [ big ]);
+  Alcotest.(check bool) "large list with complements" true
+    (traversals_agree [ big; Bdd.bnot man big; eq 3; Bdd.bnot man (eq 7) ]);
+  Alcotest.(check bool) "small after large" true (traversals_agree [ eq 0 ])
+
+let test_traversal_two_domains () =
+  (* Each domain has its own visited set: concurrent traversals, some
+     large enough to grow it, must not disturb each other. *)
+  let worker seed () =
+    let rand = Random.State.make [| seed |] in
+    let man, vars = Testutil.fresh_man nvars in
+    let big =
+      let man, eq = separated_equality (8 + seed) in
+      Bdd.conj man (List.init (8 + seed) eq)
+    in
+    List.for_all
+      (fun i ->
+        let es = QCheck2.Gen.generate1 ~rand gen_signed_list in
+        traversals_agree (build_signed man vars es)
+        && (i mod 50 <> 0 || traversals_agree [ big ]))
+      (List.init 300 Fun.id)
+  in
+  let other = Domain.spawn (worker 2) in
+  let here = worker 1 () in
+  Alcotest.(check bool) "this domain" true here;
+  Alcotest.(check bool) "spawned domain" true (Domain.join other)
+
+let test_band_bounded_nodes () =
+  let man, eq = separated_equality 8 in
+  let f = Bdd.conj man (List.init 4 eq)
+  and g = Bdd.conj man (List.init 4 (fun i -> eq (i + 4))) in
+  Alcotest.(check bool) "aborts past the bound" true
+    (Bdd.band_bounded man ~max_nodes:10 ~max_steps:max_int f g = None);
+  let conj = Bdd.band man f g in
+  Alcotest.(check bool) "the aborted result is larger than the bound" true
+    (Bdd.size conj > 11);
+  (* The bound counts nodes the call creates: once the result exists,
+     nothing is created and even a zero bound completes. *)
+  match Bdd.band_bounded man ~max_nodes:0 ~max_steps:max_int f g with
+  | Some r ->
+    Alcotest.(check bool) "completes on existing nodes" true (Bdd.equal r conj)
+  | None -> Alcotest.fail "aborted although every result node exists"
+
 let () =
   Alcotest.run "bdd"
     [
@@ -1052,6 +1179,12 @@ let () =
             test_peak_seeded_on_short_runs;
           Alcotest.test_case "unique table counters" `Quick
             test_unique_table_counters;
+          Alcotest.test_case "traversals: empty, constants, large" `Quick
+            test_traversal_edge_cases;
+          Alcotest.test_case "traversals on two domains at once" `Quick
+            test_traversal_two_domains;
+          Alcotest.test_case "band_bounded node bound" `Quick
+            test_band_bounded_nodes;
         ] );
       ( "properties",
         [
@@ -1067,6 +1200,23 @@ let () =
           qtest2 "multi_restrict single conjunct" prop_multi_restrict_single;
           qtest "sat_count" prop_sat_count;
           qtest2 "size_list sharing bounds" prop_size_list_sharing;
+          QCheck_alcotest.to_alcotest
+            (QCheck2.Test.make ~count:300
+               ~name:"size_list/support_list match a Hashtbl walk"
+               ~print:print_signed_list gen_signed_list
+               prop_traversals_reference);
+          QCheck_alcotest.to_alcotest
+            (QCheck2.Test.make ~count:200
+               ~name:"traversals interleaved across two managers"
+               ~print:(fun (a, b) ->
+                 print_signed_list a ^ " || " ^ print_signed_list b)
+               (QCheck2.Gen.pair gen_signed_list gen_signed_list)
+               prop_traversals_two_managers);
+          QCheck_alcotest.to_alcotest
+            (QCheck2.Test.make ~count:300
+               ~name:"band_bounded ~max_nodes is exact or provably large"
+               ~print:Fuzz.Tautfuzz.print_bound Fuzz.Tautfuzz.gen_bound
+               (fun c -> Result.is_ok (Fuzz.Tautfuzz.check_band_bound c)));
           qtest "support = dependent vars" prop_support;
           qtest2 "compose substitution" prop_compose;
           qtest2 "implies decision" prop_implies;

@@ -192,6 +192,58 @@ let test_pair_cache_persists () =
   let h2 = Obs.Registry.count hits in
   Alcotest.(check int) "gc invalidates the pair cache" h1 h2
 
+(* The node bound of the Figure-1 pair AND abandons only pairs whose
+   ratio exceeds the threshold, so it never changes which pair merges:
+   the bounded evaluation must return the list the unbounded one does.
+   The step factor is large enough that only the node bound can trip,
+   and the bounded run goes first in a fresh manager, so the bound
+   counts every node of the pair's conjunction. *)
+let bound_thresholds = [ 0.0; 1.0; 1.5; 3.0; infinity ]
+
+let bounded_matches_unbounded build grow_threshold =
+  let man, xs = build () in
+  let xs = Ici.Clist.of_list man xs in
+  let bounded =
+    Ici.Policy.greedy_evaluate man ~pair_step_factor:1_000_000 ~grow_threshold
+      xs
+  in
+  let unbounded = Ici.Policy.greedy_evaluate man ~grow_threshold xs in
+  List.length bounded = List.length unbounded
+  && List.for_all2 Bdd.equal bounded unbounded
+
+let prop_bounded_greedy_matches es =
+  List.for_all
+    (bounded_matches_unbounded (fun () ->
+         let man, _, xs = build_all es in
+         (man, xs)))
+    bound_thresholds
+
+let test_bounded_greedy_abandons () =
+  (* (x_i <-> y_i) with every x above every y: conjunctions grow fast,
+     so the node bound trips, and still every threshold merges what
+     the unbounded evaluation merges. *)
+  let build () =
+    let man = Bdd.create () in
+    let xs = Array.init 6 (fun _ -> Bdd.new_var man) in
+    let ys = Array.init 6 (fun _ -> Bdd.new_var man) in
+    ( man,
+      List.init 6 (fun i ->
+          Bdd.biff man (Bdd.var man xs.(i)) (Bdd.var man ys.(i))) )
+  in
+  let abandoned =
+    Obs.Registry.counter Obs.Registry.default "policy.pairs_abandoned"
+  in
+  let a0 = Obs.Registry.count abandoned in
+  List.iter
+    (fun t ->
+      Alcotest.(check bool)
+        (Printf.sprintf "threshold %g matches unbounded" t)
+        true
+        (bounded_matches_unbounded build t))
+    bound_thresholds;
+  Alcotest.(check bool) "some pairs abandoned" true
+    (Obs.Registry.count abandoned > a0)
+
 (* --- Matching ----------------------------------------------------------- *)
 
 (* Brute-force reference written independently of the DP. *)
@@ -417,6 +469,10 @@ let () =
           qtest "zero threshold evaluates nothing" prop_threshold_zero_keeps;
           Alcotest.test_case "pair cache persists across improve calls"
             `Quick test_pair_cache_persists;
+          qtest "node-bounded greedy evaluation matches unbounded"
+            prop_bounded_greedy_matches;
+          Alcotest.test_case "node bound abandons pairs, same merges" `Quick
+            test_bounded_greedy_abandons;
         ] );
       ( "matching",
         [ qtest_costs "optimal pairwise cover vs brute force"

@@ -545,32 +545,6 @@ let test_portfolio_external_cancel () =
         (not (Mc.Parallel.decided r)))
     res.Mc.Parallel.reports
 
-(* --- parallel pair scoring -------------------------------------------- *)
-
-let test_pair_evaluator_equivalence () =
-  (* The parallel evaluator's lex-min (ratio, i, j) rule matches the
-     sequential first-minimum rule, so the whole fixpoint trajectory --
-     not just the verdict -- must be identical. *)
-  List.iter
-    (fun good_limit ->
-      let seq = Mc.Runner.run ~limits Mc.Runner.Xici (counter_model ~good_limit) in
-      let evaluator = Mc.Parallel.pair_evaluator ~min_conjuncts:2 ~domains:2 () in
-      let par =
-        Mc.Runner.run ~limits ~evaluator Mc.Runner.Xici
-          (counter_model ~good_limit)
-      in
-      Alcotest.(check string) "same verdict" (Mc.Report.status_string seq)
-        (Mc.Report.status_string par);
-      Alcotest.(check int) "same iteration count" seq.Mc.Report.iterations
-        par.Mc.Report.iterations)
-    [ 2; 3 ]
-
-let prop_pair_evaluator_agreement spec =
-  let model = Testmachines.build_model spec in
-  let evaluator = Mc.Parallel.pair_evaluator ~min_conjuncts:2 ~domains:2 () in
-  let report = Mc.Runner.run ~limits ~evaluator Mc.Runner.Xici model in
-  verdict_matches spec report && trace_valid model report
-
 let test_validate_rejects_bogus () =
   let model = counter_model ~good_limit:2 in
   let man = Mc.Model.man model in
@@ -627,12 +601,8 @@ let () =
             test_portfolio_liveness_hooks;
           Alcotest.test_case "portfolio external cancel" `Quick
             test_portfolio_external_cancel;
-          Alcotest.test_case "pair evaluator preserves the trajectory" `Quick
-            test_pair_evaluator_equivalence;
           qtest ~count:20 "portfolio agrees with explicit-state reference"
             prop_portfolio_agreement;
-          qtest ~count:20 "parallel pair scoring agrees with reference"
-            prop_pair_evaluator_agreement;
         ] );
       ( "agreement with explicit-state reference",
         [

@@ -564,6 +564,42 @@ let test_end_to_end () =
   Obs.Iterlog.clear ();
   Obs.Registry.reset Obs.Registry.default
 
+let test_xici_policy_spans_have_parents () =
+  (* Every policy span of an XICI run nests inside an mc span: the
+     initial improve under xici.init, the others under xici.iteration.
+     A policy span outside both would render as an orphan root in
+     icv explain. *)
+  let spans = ref [] in
+  let tracer = Obs.Tracer.create () in
+  Obs.Tracer.add_sink tracer
+    {
+      Obs.Tracer.on_span = (fun s -> spans := s :: !spans);
+      on_instant = ignore;
+      flush = ignore;
+    };
+  let model = Models.Network.make { Models.Network.procs = 3; bug = false } in
+  let r =
+    Obs.Tracer.with_global tracer (fun () ->
+        Mc.Runner.run ~limits:(Mc.Limits.start ~max_iterations:50)
+          Mc.Runner.Xici model)
+  in
+  check "proved" true (Mc.Report.is_proved r);
+  let open Obs.Tracer in
+  let contains p c =
+    p.dom = c.dom && p.ts_ns <= c.ts_ns
+    && Int64.add p.ts_ns p.dur_ns >= Int64.add c.ts_ns c.dur_ns
+  in
+  let policy = List.filter (fun s -> s.cat = "policy") !spans in
+  let mc = List.filter (fun s -> s.cat = "mc") !spans in
+  check "policy spans present" true (policy <> []);
+  check "xici.init span present" true
+    (List.exists (fun s -> s.name = "xici.init") mc);
+  List.iter
+    (fun c ->
+      check (c.name ^ " has an mc parent") true
+        (List.exists (fun p -> contains p c) mc))
+    policy
+
 let () =
   Alcotest.run "obs"
     [
@@ -599,5 +635,7 @@ let () =
       ( "integration",
         [
           Alcotest.test_case "traced verification run" `Quick test_end_to_end;
+          Alcotest.test_case "XICI policy spans have parents" `Quick
+            test_xici_policy_spans_have_parents;
         ] );
     ]
